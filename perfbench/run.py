@@ -13,7 +13,7 @@ later runs only let the build tool check that it is up to date. Build
 output goes to stderr. The harness's stdout is passed through: its last
 line is the JSON result. Exit status: the harness's (0, or 1 when an
 output check failed), 2 on a usage error, 3 when the build fails, 4 when
-the harness overruns its time limit.
+the harness overruns its time limit, 5 when a signal kills it.
 """
 
 import argparse
@@ -68,6 +68,16 @@ def build():
         fail(3, "build produced no %s" % BINARY)
 
 
+def kill_group(proc):
+    """Kill the harness and any snapshot child (they share its process
+    group), then reap the harness."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True,
@@ -96,10 +106,12 @@ def main():
     try:
         code = proc.wait(timeout=args.seconds + RUN_SLACK_S)
     except subprocess.TimeoutExpired:
-        # The harness and any snapshot child share its process group.
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
+        kill_group(proc)
         fail(4, "harness overran its time limit and was killed")
+    if code < 0:
+        # A snapshot child may outlive a harness that died mid-fork.
+        kill_group(proc)
+        fail(5, "harness killed by %s" % signal.Signals(-code).name)
     sys.exit(code)
 
 

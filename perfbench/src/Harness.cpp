@@ -39,9 +39,46 @@ int defaultWorkerThreads() {
   return static_cast<int>(std::clamp<long>(Cpus - 2, 1, 2));
 }
 
+namespace {
+
+/// Raises the soft limit \p Resource to its hard limit and returns the
+/// soft limit that holds afterwards.
+rlim_t raiseSoftLimit(int Resource) {
+  rlimit L;
+  if (getrlimit(Resource, &L) != 0)
+    return RLIM_INFINITY;
+  if (L.rlim_cur != L.rlim_max) {
+    L.rlim_cur = L.rlim_max;
+    (void)setrlimit(Resource, &L);
+    (void)getrlimit(Resource, &L);
+  }
+  return L.rlim_cur;
+}
+
+} // namespace
+
+size_t arenaBytesWithinLimits(size_t Want) {
+  // MemfdArena ftruncates its memfd to the whole reservation, and the
+  // kernel checks that length against RLIMIT_FSIZE: over the limit the
+  // process gets SIGXFSZ before the heap exists. The reservation is one
+  // mapping, so RLIMIT_AS bounds it as well; leave half of the address
+  // space limit to everything else. Under either limit the arena shrinks
+  // to fit, in whole 64 MiB steps.
+  constexpr size_t kStep = size_t{64} << 20;
+  size_t Fit = Want;
+  const rlim_t FileLimit = raiseSoftLimit(RLIMIT_FSIZE);
+  if (FileLimit != RLIM_INFINITY && FileLimit < Fit)
+    Fit = static_cast<size_t>(FileLimit);
+  const rlim_t SpaceLimit = raiseSoftLimit(RLIMIT_AS);
+  if (SpaceLimit != RLIM_INFINITY && SpaceLimit / 2 < Fit)
+    Fit = static_cast<size_t>(SpaceLimit / 2);
+  return std::max(kStep, Fit / kStep * kStep);
+}
+
 mesh::MeshOptions shippedDefaults() {
   mesh::MeshOptions Opts;
   Opts.BackgroundMeshing = true;
+  Opts.ArenaBytes = arenaBytesWithinLimits(Opts.ArenaBytes);
   return Opts;
 }
 

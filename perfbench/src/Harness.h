@@ -72,9 +72,15 @@ struct Config {
 /// 4-CPU host; fewer on smaller hosts.
 int defaultWorkerThreads();
 
+/// \p Want, or less when the process's file-size or address-space limit
+/// would not let an arena of \p Want bytes be created. Raises the soft
+/// limits to the hard ones first.
+size_t arenaBytesWithinLimits(size_t Want);
+
 /// The options the process-default heap gets when no MESH_* variable
 /// is set (see optionsFromEnvironment in src/api/mesh.cpp): MeshOptions
-/// defaults with the background mesher on.
+/// defaults with the background mesher on. The one change: the arena
+/// reservation is cut to arenaBytesWithinLimits.
 mesh::MeshOptions shippedDefaults();
 
 /// A latency sample of bounded size. Every Stride-th event is kept;

@@ -192,6 +192,9 @@ int main(int Argc, char **Argv) {
          static_cast<double>(T1 - T0) / 1e9, Rates.size(),
          W->Samples.Op.size(),
          Sampler.samples(), W->ForkPauseNs.size());
+  if (R != nullptr)
+    printf("# arena reservation %zu MiB\n",
+           R->global().options().ArenaBytes >> 20);
   if (C.Trace) {
     emitLayerMetrics(Out, *R, Start, End, Ops, W->Samples, Sampler,
                      W->ForkPauseNs, W->ForkChildNs);
