@@ -43,8 +43,11 @@ size_t mesh_malloc_usable_size(const void *Ptr);
 /// "background.poke_passes", "background.pressure_passes";
 /// the pressure monitor (fresh sample per read): "pressure.frag_ppm"
 /// (fragmentation of committed memory, parts-per-million),
-/// "pressure.rss_bytes" (/proc/self/statm), "pressure.committed_bytes",
-/// "pressure.in_use_bytes", "pressure.span_bytes";
+/// "pressure.rss_bytes" (/proc/self/statm RSS, which counts a meshed
+/// physical page once per virtual alias, so after meshing it overstates
+/// resident memory — read PSS from /proc/self/smaps_rollup for that),
+/// "pressure.committed_bytes", "pressure.in_use_bytes",
+/// "pressure.span_bytes";
 /// fault/degradation observability (DESIGN.md "Failure policy"):
 /// "faults.injected", "faults.retried", "faults.oom_returns",
 /// "faults.mesh_rollbacks", "faults.punch_fallbacks", and the write

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -20,7 +21,33 @@ namespace {
 // Everything in this file may run inside the atfork child handler or
 // during preload bring-up (we *are* malloc), so failure reporting is
 // restricted to fatalErrorForkSafe: write(2) + abort, no vsnprintf, no
-// allocation.
+// allocation. The one exception is fitFileSizeLimit's warning, which
+// runs at bring-up only (never in the fork child) and formats nothing
+// but integers, so its vsnprintf does not allocate.
+
+/// The reservation is cut in whole spans of the largest size class.
+constexpr size_t kArenaCutStep = kMaxSizeClassedObject * kMinObjectsPerSpan;
+
+/// \p Bytes, or the largest whole-span size within the soft
+/// RLIMIT_FSIZE when \p Bytes does not fit: the kernel checks the
+/// memfd's ftruncate length against that limit and answers with
+/// SIGXFSZ, which would kill the process before the heap exists. No-op
+/// when the reservation fits.
+size_t fitFileSizeLimit(size_t Bytes) {
+  struct rlimit Limit;
+  if (getrlimit(RLIMIT_FSIZE, &Limit) != 0 ||
+      Limit.rlim_cur == RLIM_INFINITY || Limit.rlim_cur >= Bytes)
+    return Bytes;
+  const size_t Cut = Limit.rlim_cur / kArenaCutStep * kArenaCutStep;
+  if (Cut == 0)
+    fatalErrorForkSafe("arena: RLIMIT_FSIZE is below one span", EFBIG);
+  static std::atomic<bool> Warned{false};
+  if (!Warned.exchange(true, std::memory_order_relaxed))
+    logWarning("arena reservation cut from %zu to %zu MiB to fit "
+               "RLIMIT_FSIZE",
+               Bytes >> 20, Cut >> 20);
+  return Cut;
+}
 
 /// pwrite the whole range or die. Retries short writes and EINTR;
 /// everything else is unrecoverable mid-reinitialization.
@@ -96,7 +123,7 @@ void remapAliasSpan(void *CtxP, size_t VirtPageOff, size_t PhysPageOff,
 
 } // namespace
 
-MemfdArena::MemfdArena(size_t Bytes) : ArenaBytes(Bytes) {
+MemfdArena::MemfdArena(size_t Bytes) : ArenaBytes(fitFileSizeLimit(Bytes)) {
   assert(Bytes % kPageSize == 0 && "arena size must be page aligned");
   // Bring-up failures stay fatal: with no arena there is no heap to
   // degrade onto, and the wrappers have already absorbed transients.

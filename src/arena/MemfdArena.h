@@ -65,6 +65,11 @@ class MemfdArena {
 public:
   /// Reserves \p ArenaBytes of address space (default 16 GiB; address
   /// space is free — physical pages are committed on first touch).
+  /// Under a soft RLIMIT_FSIZE below \p ArenaBytes the reservation is
+  /// cut to the limit in whole 128 KiB spans, with one warning per
+  /// process (the memfd's length counts against that limit); it is
+  /// fatal only when not even one span fits. arenaBytes() reports the
+  /// size in force, and the fork child's fresh file reuses it.
   explicit MemfdArena(size_t ArenaBytes = size_t{16} << 30);
   ~MemfdArena();
 

@@ -40,7 +40,7 @@ GlobalHeap::GlobalHeap(const MeshOptions &Options)
   if (Opts.BarrierEnabled) {
     WriteBarrier::instance().ensureHandlerInstalled();
     WriteBarrier::instance().registerArena(Arena.arenaBase(),
-                                           Opts.ArenaBytes);
+                                           Arena.vm().arenaBytes());
   }
 }
 

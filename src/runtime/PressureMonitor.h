@@ -63,9 +63,14 @@ struct PressureConfig {
 struct PressureSample {
   HeapFootprint Footprint;
   /// Process resident set from /proc/self/statm (0 when unreadable —
-  /// non-Linux or a locked-down /proc). Observability only: the
-  /// trigger decision uses the heap's own committed counter, which is
-  /// not polluted by non-heap mappings.
+  /// non-Linux or a locked-down /proc). statm counts a meshed physical
+  /// page once per virtual alias, so after meshing this overstates
+  /// resident memory (about 2x was seen after heavy meshing); PSS from
+  /// /proc/self/smaps_rollup counts each page once. statm stays because
+  /// smaps_rollup walks every page table entry, a cost this sampler
+  /// would pay on every wake. Observability only: the trigger decision
+  /// uses the heap's own committed counter, which is not polluted by
+  /// non-heap mappings.
   size_t RssBytes = 0;
   /// (committed - in_use) / committed in parts-per-million, clamped to
   /// [0, 1e6]. Fixed-point so it travels through the u64 mallctl
@@ -97,9 +102,10 @@ public:
   /// attached-span overcount racing a commit update) clamps to 0.
   static uint32_t fragPpm(size_t CommittedBytes, size_t InUseBytes);
 
-  /// Resident-set bytes of this process via /proc/self/statm; 0 when
-  /// the read fails. Allocation-free (stack buffer + raw syscalls): it
-  /// runs inside an allocator.
+  /// Resident-set bytes of this process via /proc/self/statm (meshed
+  /// pages counted once per alias, see PressureSample::RssBytes); 0
+  /// when the read fails. Allocation-free (stack buffer + raw
+  /// syscalls): it runs inside an allocator.
   static size_t readRssBytes();
 
 private:

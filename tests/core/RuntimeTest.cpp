@@ -8,11 +8,71 @@
 
 #include <cerrno>
 #include <cstring>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 namespace mesh {
 namespace {
+
+TEST(RuntimeTest, ArenaFitsUnderFileSizeLimit) {
+  // The arena's memfd length counts against RLIMIT_FSIZE: a reservation
+  // above the soft limit used to die of SIGXFSZ in the ftruncate. The
+  // limit is lowered in a child so the test process keeps its own.
+  const pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    constexpr size_t kLimit = (size_t{64} << 20) + 12345;
+    struct rlimit Limit;
+    if (getrlimit(RLIMIT_FSIZE, &Limit) != 0)
+      _exit(10);
+    Limit.rlim_cur = kLimit;
+    if (setrlimit(RLIMIT_FSIZE, &Limit) != 0)
+      _exit(11);
+    Runtime R{MeshOptions{}}; // The shipped 16 GiB reservation.
+    if (R.global().arenaForTest().vm().arenaBytes() != (size_t{64} << 20))
+      _exit(12); // Cut to the limit in whole 128 KiB spans.
+    auto *Small = static_cast<char *>(R.malloc(100));
+    auto *Large = static_cast<char *>(R.malloc(size_t{1} << 20));
+    if (Small == nullptr || Large == nullptr)
+      _exit(13);
+    memset(Small, 0x5A, 100);
+    memset(Large, 0xA5, size_t{1} << 20);
+    R.free(Small);
+    R.free(Large);
+    _exit(0);
+  }
+  int Status = 0;
+  ASSERT_EQ(waitpid(Pid, &Status, 0), Pid);
+  ASSERT_FALSE(WIFSIGNALED(Status))
+      << "child killed by signal " << WTERMSIG(Status);
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0);
+}
+
+TEST(RuntimeTest, ArenaWithinFileSizeLimitIsNotCut) {
+  const pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    struct rlimit Limit;
+    if (getrlimit(RLIMIT_FSIZE, &Limit) != 0)
+      _exit(10);
+    Limit.rlim_cur = testOptions().ArenaBytes;
+    if (setrlimit(RLIMIT_FSIZE, &Limit) != 0)
+      _exit(11);
+    Runtime R(testOptions());
+    if (R.global().arenaForTest().vm().arenaBytes() !=
+        testOptions().ArenaBytes)
+      _exit(12);
+    _exit(0);
+  }
+  int Status = 0;
+  ASSERT_EQ(waitpid(Pid, &Status, 0), Pid);
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0);
+}
 
 TEST(RuntimeTest, MallocFreeRoundTrip) {
   Runtime R(testOptions());

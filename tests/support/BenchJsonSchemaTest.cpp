@@ -266,6 +266,33 @@ TEST(BenchJsonSchemaTest, FlatMetricLineParsesWithSchemaAndTypes) {
       << "numbers must round-trip exactly through the emitter";
 }
 
+TEST(BenchJsonSchemaTest, ThreadSweepLineCarriesScalingKeys) {
+  SmokeModeGuard Smoke(false);
+  // bench_mt --threads=1,2,4: one line per count, the count in the
+  // config so bench_compare keys stay distinct, plus the per-thread
+  // rate and the scaling efficiency against the sweep's first count.
+  BenchJsonWriter W("bench_mt", "local-t2");
+  W.number("alloc_threads", 2);
+  W.number("free_threads", 0);
+  W.number("ops_per_sec", 40e6);
+  W.number("threads", 2);
+  W.number("per_thread_ops_per_sec", 20e6);
+  W.number("scaling_efficiency", 0.8);
+
+  JsonValue Doc;
+  ASSERT_TRUE(JsonParser(W.finish()).parse(Doc));
+  ASSERT_EQ(Doc.K, JsonValue::Object);
+  expectStringKey(Doc, "config", "local-t2");
+  for (const char *Key : {"alloc_threads", "free_threads", "ops_per_sec",
+                          "threads", "per_thread_ops_per_sec",
+                          "scaling_efficiency"})
+    expectNumberKey(Doc, Key);
+  EXPECT_EQ(Doc.member("free_threads")->Num, 0)
+      << "the local mix starts no freeing threads";
+  EXPECT_EQ(Doc.member("per_thread_ops_per_sec")->Num,
+            Doc.member("ops_per_sec")->Num / Doc.member("threads")->Num);
+}
+
 TEST(BenchJsonSchemaTest, SmokeModeIsFlaggedOnTheLine) {
   SmokeModeGuard Smoke(true);
   BenchJsonWriter W("bench_mt", "local");
