@@ -53,6 +53,11 @@ struct FuzzConfig {
   bool Randomized;
 };
 
+// Without a printer gtest lists the raw struct bytes (a pointer that
+// moves under ASLR plus uninitialised padding), so the test names
+// ctest discovers would differ on every discovery.
+void PrintTo(const FuzzConfig &Cfg, std::ostream *OS) { *OS << Cfg.Name; }
+
 class AllocatorFuzz : public ::testing::TestWithParam<FuzzConfig> {};
 
 TEST_P(AllocatorFuzz, DifferentialAgainstShadowModel) {
